@@ -58,11 +58,6 @@ type Config struct {
 	// worker count: the failure/evacuation pass and the error join
 	// always run sequentially in node-index order.
 	StepWorkers int
-	// Parallel is deprecated: stepping is parallel by default (see
-	// StepWorkers, whose zero value picks GOMAXPROCS) and results do
-	// not depend on the worker count. The field is retained so existing
-	// configurations keep compiling; it is ignored.
-	Parallel bool
 }
 
 func (c Config) withDefaults() Config {

@@ -122,13 +122,19 @@ func (c *Controller) shardScratch(n int) []*auctionShard {
 		s.vcpus = s.vcpus[:0]
 		clear(s.creditDelta)
 		s.capSum = 0
-		s.buyers = s.buyers[:0]
-		clear(s.credit)
-		clear(s.demand)
-		s.demandTotal = 0
-		s.market = 0
+		s.resetAuction()
 	}
 	return sh
+}
+
+// resetAuction clears the shard's stage-4 state, leaving the stage 2–3
+// partition (vcpus, creditDelta, capSum) in place.
+func (s *auctionShard) resetAuction() {
+	s.buyers = s.buyers[:0]
+	clear(s.credit)
+	clear(s.demand)
+	s.demandTotal = 0
+	s.market = 0
 }
 
 // partitionStages splits every tracked vCPU into n shards by NUMA
@@ -280,6 +286,7 @@ func (c *Controller) auctionSharded(market int64) int64 {
 		sh = c.shards[:shards]
 		nbuyers := 0
 		for _, s := range sh {
+			s.resetAuction()
 			for _, v := range s.vcpus {
 				if v.Degraded || v.CapUs >= v.EstUs {
 					continue

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"vfreq/internal/platform"
@@ -236,6 +239,58 @@ func TestAuctionShardedEquivalence(t *testing.T) {
 				seed, sold, market, leftA, credA0-credA)
 		}
 	}
+}
+
+// TestAuctionShardedPartitionReuse: the auction may run more than once
+// on one stage 2–3 partition (BenchmarkAuctionSharded does). Each run
+// must start from a clean shard ledger, so two runs from the same state
+// see the same buyers and market split and reach the same outcome.
+func TestAuctionShardedPartitionReuse(t *testing.T) {
+	type outcome struct {
+		left          int64
+		buyers        [][]*VCPUState
+		demand        []map[string]int64
+		demandTotal   []int64
+		caps, credits []int64
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		_, c, market := randomAuctionTwin(t, rand.New(rand.NewSource(seed)), 4)
+		c.partitionStages(4)
+		caps, credits := capsAndCredits(c)
+		run := func() outcome {
+			i, k := 0, 0
+			for _, vs := range c.VMs() {
+				vs.CreditUs = credits[i]
+				i++
+				for _, v := range vs.VCPUs {
+					v.CapUs = caps[k]
+					k++
+				}
+			}
+			o := outcome{left: c.auctionSharded(market)}
+			for _, s := range c.shards[:4] {
+				o.buyers = append(o.buyers, slices.Clone(s.buyers))
+				o.demand = append(o.demand, maps.Clone(s.demand))
+				o.demandTotal = append(o.demandTotal, s.demandTotal)
+			}
+			o.caps, o.credits = capsAndCredits(c)
+			return o
+		}
+		first, second := run(), run()
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("seed %d: second auction on one partition diverged:\n first  %+v\n second %+v", seed, first, second)
+		}
+	}
+}
+
+func capsAndCredits(c *Controller) (caps, credits []int64) {
+	for _, vs := range c.VMs() {
+		credits = append(credits, vs.CreditUs)
+		for _, v := range vs.VCPUs {
+			caps = append(caps, v.CapUs)
+		}
+	}
+	return caps, credits
 }
 
 // TestAuctionShardedRace exercises the concurrent shard pool under the

@@ -266,7 +266,8 @@ func (f *FaultyHost) decide(site FaultSite, vm string, vcpu int) (time.Duration,
 // Node implements Host (never injected: node info is static).
 func (f *FaultyHost) Node() NodeInfo { return f.inner.Node() }
 
-// ListVMs implements Host.
+// ListVMs implements Host. It returns the inner host's slice, under the
+// inner host's reuse contract.
 func (f *FaultyHost) ListVMs() ([]VMInfo, error) {
 	if err := f.fail(SiteListVMs, "", -1); err != nil {
 		return nil, err

@@ -1,10 +1,12 @@
 package platform
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,6 +32,16 @@ import (
 // call reopens the path — which is how cgroup recreation on VM restart
 // is picked up. All methods are safe for concurrent use by the monitor
 // worker pool.
+//
+// ListVMs keeps the CgroupRoot directory and every scope directory open
+// the same way. Each call rewinds them and reads their entries into one
+// scratch buffer (readDirents: getdents walked in place on Linux,
+// os.File.ReadDir elsewhere), looks each scope up by its entry name, and
+// returns a reused slice, so a steady-state listing allocates nothing.
+// A scope removed and recreated under the same name shows a new inode in
+// the root listing and is reopened; a directory read that fails drops
+// its descriptor and is retried once through the path, so a recreated
+// directory is read afresh, as os.ReadDir would.
 type Linux struct {
 	NodeName    string
 	CgroupRoot  string // e.g. /sys/fs/cgroup/machine.slice
@@ -47,11 +59,86 @@ type Linux struct {
 	procs map[int]*handle
 	cores map[int]*handle
 
+	// vcpusAdded records a handle built since the last prune: it may
+	// belong to no listed VM (a read of an unknown or departed one).
+	vcpusAdded bool
+
 	// coreNodes caches the NUMA topology (core → node), discovered once
 	// like the cgroup paths: the placement of logical CPUs never changes
 	// while the controller runs.
 	coreNodes []int
+
+	// listMu guards the ListVMs state below.
+	listMu sync.Mutex
+	root   dirHandle
+	scopes map[string]*scope // by directory entry name
+	gen    uint64            // ListVMs calls made; stamps the scopes each call sees
+	// listChanged records a listing change (a VM listed, unlisted or
+	// resized) not yet pruned from the vCPU handles.
+	listChanged bool
+	dirBuf      []byte   // getdents scratch shared by every directory read
+	ents        []dirent // entries of the directory last read
+	listed      []*scope // the scopes of this call, sorted by entry name
+	vmOut       []VMInfo
 }
+
+// dirent is one directory entry as readDirents reports it. name aliases
+// the read buffer; ino is 0 where the platform does not report it.
+type dirent struct {
+	name []byte
+	ino  uint64
+	dir  bool
+}
+
+// dirHandle is one kept-open directory.
+type dirHandle struct {
+	path string
+	f    *os.File
+}
+
+// read rewinds and reads the directory into l.ents. A failed read of a
+// kept descriptor drops it and retries once through the path.
+func (d *dirHandle) read(l *Linux) (err error) {
+	kept := d.f != nil
+	for {
+		if d.f == nil {
+			if d.f, err = os.Open(d.path); err != nil {
+				return err
+			}
+		}
+		if l.dirBuf, l.ents, err = readDirents(d.f, l.dirBuf, l.ents[:0]); err == nil {
+			return nil
+		}
+		d.close()
+		if !kept {
+			return err
+		}
+		kept = false
+	}
+}
+
+func (d *dirHandle) close() {
+	if d.f != nil {
+		d.f.Close()
+		d.f = nil
+	}
+}
+
+// scope is one interned machine.slice entry: its kept-open directory and
+// what ListVMs derives from it.
+type scope struct {
+	dirHandle
+	entry string // directory entry name, the scopes key
+	name  string // VM name
+	ino   uint64 // inode the root listing last showed for the entry
+	gen   uint64 // the ListVMs call that last saw the entry
+	vcpus int    // vCPUs the last listing reported; 0 when it skipped the VM
+}
+
+var (
+	scopeSuffix = []byte(".scope")
+	vcpuPrefix  = []byte("vcpu")
+)
 
 type vcpuRef struct {
 	vm   string
@@ -119,6 +206,13 @@ func (h *handle) write(payload []byte) error {
 	return nil
 }
 
+func (vf *vcpuFiles) close() {
+	vf.stat.close()
+	vf.threads.close()
+	vf.max.close()
+	vf.burst.close()
+}
+
 func (h *handle) close() {
 	h.mu.Lock()
 	if h.f != nil {
@@ -150,6 +244,7 @@ func (l *Linux) vcpuLocked(vm string, vcpu int) *vcpuFiles {
 		vf.max.path = filepath.Join(dir, "cpu.max")
 		vf.burst.path = filepath.Join(dir, "cpu.max.burst")
 		l.vcpus[ref] = vf
+		l.vcpusAdded = true
 	}
 	return vf
 }
@@ -197,24 +292,24 @@ func (l *Linux) core(core int) *handle {
 	return h
 }
 
-// pruneDeparted closes and forgets the cached files of VMs (or trailing
-// vCPUs after a shrink) no longer present on the host.
-func (l *Linux) pruneDeparted(live []VMInfo) {
+// pruneVCPUs closes and forgets the cached files of vCPUs no listed VM
+// has: those of departed or unlisted VMs and the trailing vCPUs after a
+// shrink. It runs only when the listing changed or a handle was built
+// since the last prune, so a steady-state period skips it.
+func (l *Linux) pruneVCPUs(live []VMInfo) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if !l.listChanged && !l.vcpusAdded {
+		return
+	}
+	l.listChanged, l.vcpusAdded = false, false
+	vcpus := make(map[string]int, len(live))
+	for _, vm := range live {
+		vcpus[vm.Name] = max(vcpus[vm.Name], vm.VCPUs)
+	}
 	for ref, vf := range l.vcpus {
-		found := false
-		for i := range live {
-			if live[i].Name == ref.vm && ref.vcpu < live[i].VCPUs {
-				found = true
-				break
-			}
-		}
-		if !found {
-			vf.stat.close()
-			vf.threads.close()
-			vf.max.close()
-			vf.burst.close()
+		if ref.vcpu >= vcpus[ref.vm] {
+			vf.close()
 			delete(l.vcpus, ref)
 		}
 	}
@@ -306,39 +401,81 @@ func (l *Linux) Node() NodeInfo {
 	return NodeInfo{Name: l.NodeName, Cores: l.Cores, MaxFreqMHz: l.MaxFreqMHz}
 }
 
-// ListVMs implements Host.
+// ListVMs implements Host. The returned slice is reused by the next
+// call; callers must not retain it.
 func (l *Linux) ListVMs() ([]VMInfo, error) {
-	entries, err := os.ReadDir(l.CgroupRoot)
-	if err != nil {
+	l.listMu.Lock()
+	defer l.listMu.Unlock()
+	if l.root.path == "" {
+		l.root.path = l.CgroupRoot
+	}
+	if err := l.root.read(l); err != nil {
 		return nil, err
 	}
-	var out []VMInfo
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasSuffix(e.Name(), ".scope") {
+	if l.scopes == nil {
+		l.scopes = map[string]*scope{}
+	}
+	l.gen++
+	listed := l.listed[:0]
+	for _, e := range l.ents {
+		if !e.dir || !bytes.HasSuffix(e.name, scopeSuffix) {
 			continue
 		}
-		name := strings.TrimSuffix(strings.TrimPrefix(e.Name(), "machine-qemu-"), ".scope")
-		// Count vcpuN sub-cgroups.
-		subs, err := os.ReadDir(filepath.Join(l.CgroupRoot, e.Name()))
-		if err != nil {
+		sc := l.scopes[string(e.name)]
+		if sc == nil {
+			entry := string(e.name)
+			sc = &scope{
+				dirHandle: dirHandle{path: filepath.Join(l.CgroupRoot, entry)},
+				entry:     entry,
+				name:      strings.TrimSuffix(strings.TrimPrefix(entry, "machine-qemu-"), ".scope"),
+			}
+			l.scopes[entry] = sc
+		} else if e.ino == 0 || e.ino != sc.ino {
+			// Recreated under the same name: the kept descriptor would
+			// read the old directory.
+			sc.close()
+		}
+		sc.ino = e.ino
+		sc.gen = l.gen
+		listed = append(listed, sc)
+	}
+	// os.ReadDir order: controllers register arrivals in list order.
+	slices.SortFunc(listed, func(a, b *scope) int { return strings.Compare(a.entry, b.entry) })
+	l.listed = listed
+
+	out := l.vmOut[:0]
+	for _, sc := range listed {
+		if err := sc.read(l); err != nil {
 			return nil, err
 		}
 		vcpus := 0
-		for _, s := range subs {
-			if s.IsDir() && strings.HasPrefix(s.Name(), "vcpu") {
+		for _, e := range l.ents {
+			if e.dir && bytes.HasPrefix(e.name, vcpuPrefix) {
 				vcpus++
 			}
 		}
-		if vcpus == 0 {
-			continue
+		freq, ok := l.Freqs[sc.name]
+		if vcpus > 0 && ok {
+			out = append(out, VMInfo{Name: sc.name, VCPUs: vcpus, FreqMHz: freq})
+		} else {
+			vcpus = 0 // not under our control: no template, or no vCPUs
 		}
-		freq, ok := l.Freqs[name]
-		if !ok {
-			continue // no template registered: not under our control
+		if vcpus != sc.vcpus {
+			sc.vcpus = vcpus
+			l.listChanged = true
 		}
-		out = append(out, VMInfo{Name: name, VCPUs: vcpus, FreqMHz: freq})
 	}
-	l.pruneDeparted(out)
+	l.vmOut = out
+	if len(listed) != len(l.scopes) {
+		for entry, sc := range l.scopes {
+			if sc.gen != l.gen {
+				sc.close()
+				delete(l.scopes, entry)
+				l.listChanged = l.listChanged || sc.vcpus > 0
+			}
+		}
+	}
+	l.pruneVCPUs(out)
 	return out, nil
 }
 

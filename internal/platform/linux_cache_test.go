@@ -39,16 +39,19 @@ func TestLinuxCachedReadsSeeFreshContent(t *testing.T) {
 // the path instead of failing forever.
 func TestLinuxReopensAfterError(t *testing.T) {
 	l := fixtureHost(t)
-	dir := filepath.Join(l.CgroupRoot, "machine-qemu-guest1.scope/vcpu0")
+	scope := filepath.Join(l.CgroupRoot, "machine-qemu-guest1.scope")
+	dir := filepath.Join(scope, "vcpu0")
 	if _, err := l.UsageUs("guest1", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(dir); err != nil {
+	if err := os.RemoveAll(scope); err != nil {
 		t.Fatal(err)
 	}
 	// The open descriptor still answers preads on most filesystems, so
-	// force the miss by pruning (what ListVMs does when the VM vanishes).
-	l.pruneDeparted(nil)
+	// the miss comes from the prune ListVMs runs when the VM vanishes.
+	if vms, err := l.ListVMs(); err != nil || len(vms) != 0 {
+		t.Fatalf("listing after removal: %+v, %v", vms, err)
+	}
 	if _, err := l.UsageUs("guest1", 0); err == nil {
 		t.Fatal("read of removed cgroup succeeded")
 	}
@@ -60,6 +63,9 @@ func TestLinuxReopensAfterError(t *testing.T) {
 	}
 	if u, err := l.UsageUs("guest1", 0); err != nil || u != 55 {
 		t.Fatalf("read after recreation: %d, %v", u, err)
+	}
+	if vms, err := l.ListVMs(); err != nil || len(vms) != 1 || vms[0].VCPUs != 1 {
+		t.Fatalf("listing after recreation: %+v, %v", vms, err)
 	}
 }
 
@@ -150,7 +156,11 @@ func TestLinuxBatchSetMaxPartialFailure(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(l.CgroupRoot, "machine-qemu-guest1.scope/vcpu1")); err != nil {
 		t.Fatal(err)
 	}
-	l.pruneDeparted(nil) // drop the cached descriptors, as ListVMs would
+	// The listing shrinks guest1 to one vCPU, dropping vcpu1's cached
+	// descriptors.
+	if vms, err := l.ListVMs(); err != nil || len(vms) != 1 || vms[0].VCPUs != 1 {
+		t.Fatalf("listing after vcpu1 removal: %+v, %v", vms, err)
+	}
 
 	quotas := []VCPUQuota{
 		{VCPU: 0, QuotaUs: 40_000, PeriodUs: 100_000},

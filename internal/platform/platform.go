@@ -26,7 +26,9 @@ type VMInfo struct {
 type Host interface {
 	// Node returns the static machine description.
 	Node() NodeInfo
-	// ListVMs enumerates the hosted VM instances.
+	// ListVMs enumerates the hosted VM instances. The returned slice
+	// may be reused by the next call: callers must not retain it (or
+	// a subslice) past that call, and copy the VMInfo values they keep.
 	ListVMs() ([]VMInfo, error)
 	// UsageUs returns the cumulative CPU time of vCPU j of the named
 	// VM, in microseconds (cpu.stat usage_usec).

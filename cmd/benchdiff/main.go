@@ -11,7 +11,9 @@
 //
 // The gate compares ns/op and allocs/op for benchmarks present in both
 // files and fails (exit 1) when a metric regresses by more than the
-// tolerance fraction. Custom metrics (nodes_eq7, step_µs, …) are
+// tolerance fraction, or when a baseline benchmark that -bench selects
+// is missing from the run (renamed or deleted without re-recording the
+// baseline). Custom metrics (nodes_eq7, step_µs, …) are
 // recorded and printed but never gated: they are reproduction results,
 // not performance, and should be judged against EXPERIMENTS.md instead.
 package main
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -32,7 +35,7 @@ import (
 
 // defaultBench selects the perf-tracked benchmarks: the full-step and
 // cluster macro benchmarks plus the stage micro benchmarks.
-const defaultBench = "Fig2ControllerStep|ControllerOverhead|DynamicCluster|MonitorStage|ApplyStage|AuctionSharded|SteadyStep|EstimateEnforce|ClusterScale|MetricsRecord"
+const defaultBench = "Fig2ControllerStep|ControllerOverhead|DynamicCluster|MonitorStage|ApplyStage|Auction$|SteadyStep|EstimateEnforce|ClusterScale|MetricsRecord"
 
 // defaultPkgs holds the packages that define those benchmarks.
 var defaultPkgs = []string{".", "./internal/core", "./internal/cluster", "./internal/metrics"}
@@ -99,12 +102,24 @@ func main() {
 		fatal(err)
 	}
 	regressions := compare(prev, art, *tolerance)
-	if len(regressions) > 0 && *gate {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) regressed beyond %.0f%%:\n",
-			len(regressions), *tolerance*100)
+	gone, err := missing(prev, art, *bench)
+	if err != nil {
+		fatal(err)
+	}
+	for _, name := range gone {
+		fmt.Printf("%-44s (in baseline, missing from this run)\n", name)
+	}
+	if *gate && (len(regressions) > 0 || len(gone) > 0) {
+		if len(regressions) > 0 {
+			fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) regressed beyond %.0f%%:\n",
+				len(regressions), *tolerance*100)
+		}
 		for _, r := range regressions {
 			fmt.Fprintf(os.Stderr, "  %s %s: %.2f -> %.2f (%+.1f%%)\n",
 				r.bench, r.metric, r.oldV, r.newV, r.dv*100)
+		}
+		for _, name := range gone {
+			fmt.Fprintf(os.Stderr, "benchdiff: baseline %s is selected by -bench but missing from the run\n", name)
 		}
 		os.Exit(1)
 	}
@@ -245,6 +260,96 @@ func compare(prev, cur *Artefact, tol float64) []regression {
 		}
 	}
 	return regs
+}
+
+// missing returns the baseline results that the -bench pattern selects
+// but the run did not produce, in baseline order.
+func missing(prev, cur *Artefact, bench string) ([]string, error) {
+	selects, err := benchMatcher(bench)
+	if err != nil {
+		return nil, err
+	}
+	ran := map[string]bool{}
+	for _, r := range cur.Results {
+		ran[r.Name] = true
+	}
+	var gone []string
+	for _, r := range prev.Results {
+		if !ran[r.Name] && selects(r.Name) {
+			gone = append(gone, r.Name)
+		}
+	}
+	return gone, nil
+}
+
+// benchMatcher reports whether a go test -bench pattern selects a
+// result name (as recorded, without the Benchmark prefix). It matches
+// the way go test does: top-level '|' separates alternatives, each
+// alternative is split on '/' into one unanchored regexp per level, and
+// the first alternative that matches every level the name has decides.
+// Levels of the name beyond the alternative's depth match anything; a
+// name shallower than the alternative is only a partial match, which
+// go test runs to discover sub-benchmarks but never reports.
+func benchMatcher(pattern string) (func(name string) bool, error) {
+	var alts [][]*regexp.Regexp
+	for _, alt := range splitPattern(pattern, '|') {
+		var levels []*regexp.Regexp
+		for _, elem := range splitPattern(alt, '/') {
+			re, err := regexp.Compile(elem)
+			if err != nil {
+				return nil, fmt.Errorf("-bench %q: %w", pattern, err)
+			}
+			levels = append(levels, re)
+		}
+		alts = append(alts, levels)
+	}
+	return func(name string) bool {
+		elems := strings.Split("Benchmark"+name, "/")
+	alt:
+		for _, levels := range alts {
+			for i, re := range levels {
+				if i < len(elems) && !re.MatchString(elems[i]) {
+					continue alt
+				}
+			}
+			return len(elems) >= len(levels)
+		}
+		return false
+	}, nil
+}
+
+// splitPattern splits a -bench pattern on sep wherever sep sits outside
+// brackets, parentheses and backslash escapes.
+func splitPattern(s string, sep byte) []string {
+	var parts []string
+	brackets, parens := 0, 0
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++
+		case '[':
+			brackets++
+		case ']':
+			if brackets > 0 {
+				brackets--
+			}
+		case '(':
+			if brackets == 0 {
+				parens++
+			}
+		case ')':
+			if brackets == 0 {
+				parens--
+			}
+		case sep:
+			if brackets == 0 && parens == 0 {
+				parts = append(parts, s[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(parts, s[start:])
 }
 
 func gated(metric string) bool {

@@ -42,16 +42,14 @@ var metricsReg = metrics.NewRegistry()
 // wall-clock moves.
 var (
 	monitorWorkers  int
-	auctionShards   int
-	estimateShards  int
 	stepWorkers     int
 	parallelCluster bool
 )
 
 // Chaos soak knobs (flags), used by the "chaos" artefact only.
 var (
-	chaosSteps int
-	chaosSeed  int64
+	chaosSteps     int
+	chaosSeed      int64
 	chaosVMs       int
 	chaosChurn     bool
 	rebalanceEvery int
@@ -64,10 +62,6 @@ func main() {
 	width := flag.Int("width", 72, "chart width")
 	flag.IntVar(&monitorWorkers, "monitor-workers", -1,
 		"monitor read-pool size (0 = GOMAXPROCS, 1 = serial; -1 keeps the default)")
-	flag.IntVar(&auctionShards, "auction-shards", -1,
-		"auction shard count (0 = one per NUMA node, 1 = serial; -1 keeps the default)")
-	flag.IntVar(&estimateShards, "estimate-shards", -1,
-		"estimate/enforce shard count (0 = follow auction shards, 1 = serial; -1 keeps the default)")
 	flag.IntVar(&stepWorkers, "step-workers", -1,
 		"cluster step worker-pool size for the dynamic experiment (0 = GOMAXPROCS, 1 = serial; -1 keeps the serial default)")
 	flag.BoolVar(&parallelCluster, "parallel", false,
@@ -102,22 +96,13 @@ func main() {
 	}
 }
 
-// withWorkers applies the -monitor-workers, -auction-shards and
-// -estimate-shards overrides to an experiment.
+// withWorkers applies the -monitor-workers override to an experiment.
 func withWorkers(e experiments.FreqExperiment) experiments.FreqExperiment {
-	if monitorWorkers >= 0 || auctionShards >= 0 || estimateShards >= 0 {
+	if monitorWorkers >= 0 {
 		if e.Config.PeriodUs == 0 {
 			e.Config = core.DefaultConfig()
 		}
-	}
-	if monitorWorkers >= 0 {
 		e.Config.MonitorWorkers = monitorWorkers
-	}
-	if auctionShards >= 0 {
-		e.Config.AuctionShards = auctionShards
-	}
-	if estimateShards >= 0 {
-		e.Config.EstimateShards = estimateShards
 	}
 	e.Metrics = metricsReg
 	return e

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -126,4 +127,46 @@ func normalizeRow(sc Scenario, row string) string {
 	cols := strings.Split(row, ",")
 	cols[1] = "<wall>"
 	return strings.Join(cols, ",")
+}
+
+// TestSeededFaultRunReplays runs the dynamic scenario, whose fault
+// stream is seeded, at one and at four scheduler threads. With the
+// monitor pool left on auto the data rows and the per-site fault
+// counters must match exactly: the fault host's shared stream only
+// replays when reads are issued in a fixed order. The stage timings in
+// the metrics dump are wall clock and are left out.
+func TestSeededFaultRunReplays(t *testing.T) {
+	var sc Scenario
+	for _, tc := range goldenScenarios {
+		if tc.name == "dynamic" {
+			sc = tc.sc
+		}
+	}
+	if sc.MonitorWorkers != 0 || sc.FaultRate <= 0 {
+		t.Fatalf("dynamic scenario must inject faults with an auto monitor pool: %+v", sc)
+	}
+	run := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out := filepath.Join(t.TempDir(), "out.csv")
+		if err := runSim(sc, out, "", checkpointOpts{}, metrics.NewRegistry()); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, comments := splitCSV(string(raw))
+		for _, c := range comments {
+			if strings.Contains(c, "vfreq_fault") {
+				rows = append(rows, c)
+			}
+		}
+		return strings.Join(rows, "\n")
+	}
+	serial := run(1)
+	for i := 0; i < 5; i++ {
+		if got := run(4); got != serial {
+			t.Fatalf("run %d at GOMAXPROCS=4 differs from GOMAXPROCS=1:\n got:\n%s\nwant:\n%s", i, got, serial)
+		}
+	}
 }

@@ -32,10 +32,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -91,20 +93,9 @@ type Scenario struct {
 	// reads/writes (-1 disables retrying; 0 keeps the default).
 	HostRetries int `json:"host_retries,omitempty"`
 	// MonitorWorkers sizes the monitor stage's read pool (0 =
-	// GOMAXPROCS, 1 = serial). The -monitor-workers flag overrides it.
+	// GOMAXPROCS, or serial when fault injection is armed; 1 = serial).
+	// The -monitor-workers flag overrides it.
 	MonitorWorkers int `json:"monitor_workers,omitempty"`
-	// AuctionShards shards the stage-4 auction by NUMA node: 0 (or
-	// omitted) keeps the serial default, -1 auto-sizes to the host's
-	// NUMA topology, N ≥ 1 forces N shards. The -auction-shards flag
-	// overrides it.
-	AuctionShards int `json:"auction_shards,omitempty"`
-	// EstimateShards shards stages 2–3 (estimate/enforce) over the same
-	// placement partition as the auction: 0 (or omitted) follows the
-	// effective auction shard count, -1 forces the serial passes, N ≥ 1
-	// forces N shards. Unlike auction sharding the result is
-	// bit-identical at any count. The -estimate-shards flag overrides
-	// it.
-	EstimateShards int `json:"estimate_shards,omitempty"`
 
 	// Robustness knobs (zero values keep the features off, matching
 	// core.DefaultConfig). CallBudgetUs bounds each host call;
@@ -169,15 +160,11 @@ func main() {
 	example := flag.Bool("example", false, "print an example scenario and exit")
 	linux := flag.Bool("linux", false, "drive the real host via cgroup v2 instead of the simulator")
 	monitorWorkers := flag.Int("monitor-workers", -1,
-		"monitor read-pool size (0 = GOMAXPROCS, 1 = serial; -1 defers to the scenario)")
+		"monitor read-pool size (0 = GOMAXPROCS, serial under fault injection; 1 = serial; -1 defers to the scenario)")
 	stepWorkers := flag.Int("step-workers", -1,
 		"cluster step worker-pool size (0 = GOMAXPROCS, 1 = serial; -1 defers to the scenario; needs nodes >= 2)")
 	rebalanceEvery := flag.Int("rebalance-every", -1,
 		"periods between cluster rebalance sweeps (0 = never; -1 defers to the scenario; needs nodes >= 2)")
-	auctionShards := flag.Int("auction-shards", 0,
-		"auction shard count (-1 = one per NUMA node, N = forced; 0 defers to the scenario)")
-	estimateShards := flag.Int("estimate-shards", 0,
-		"estimate/enforce shard count (-1 = serial, N = forced; 0 defers to the scenario, which defaults to following -auction-shards)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	metricsAddr := flag.String("metrics-addr", "",
@@ -209,24 +196,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var sc Scenario
-	if err := json.Unmarshal(raw, &sc); err != nil {
-		fatal(fmt.Errorf("parsing scenario: %w", err))
-	}
-	if sc.DurationS <= 0 {
-		fatal(fmt.Errorf("scenario: duration_s must be positive"))
+	sc, err := parseScenario(raw)
+	if err != nil {
+		fatal(err)
 	}
 	if *resume && *ckptPath == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}
 	if *monitorWorkers >= 0 {
 		sc.MonitorWorkers = *monitorWorkers
-	}
-	if *auctionShards != 0 {
-		sc.AuctionShards = *auctionShards
-	}
-	if *estimateShards != 0 {
-		sc.EstimateShards = *estimateShards
 	}
 	if *stepWorkers >= 0 {
 		sc.StepWorkers = *stepWorkers
@@ -388,6 +366,25 @@ func buildWorkload(v ScenarioVM) ([]workload.Source, error) {
 	}
 }
 
+// parseScenario decodes a scenario file. Unknown keys are rejected, so a
+// misspelt or retired knob fails loudly instead of silently running
+// with its default.
+func parseScenario(raw []byte) (Scenario, error) {
+	var sc Scenario
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return Scenario{}, fmt.Errorf("parsing scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("parsing scenario: trailing data after the top-level object")
+	}
+	if sc.DurationS <= 0 {
+		return Scenario{}, fmt.Errorf("scenario: duration_s must be positive")
+	}
+	return sc, nil
+}
+
 func controllerConfig(sc Scenario) core.Config {
 	cfg := core.DefaultConfig()
 	if sc.IncreaseTrigger > 0 {
@@ -408,24 +405,6 @@ func controllerConfig(sc Scenario) core.Config {
 		cfg.HostRetries = 0
 	}
 	cfg.MonitorWorkers = sc.MonitorWorkers
-	// Scenario encoding differs from core.Config: in the scenario 0
-	// means "unset" (keep the serial default of 1) and -1 means auto,
-	// which is core's 0.
-	switch {
-	case sc.AuctionShards < 0:
-		cfg.AuctionShards = 0 // auto: one shard per NUMA node
-	case sc.AuctionShards > 0:
-		cfg.AuctionShards = sc.AuctionShards
-	}
-	// Same remapping for the stage 2–3 partition, except "auto" here
-	// means following the effective auction shard count (core's 0) and
-	// -1 forces the serial passes (core's 1).
-	switch {
-	case sc.EstimateShards < 0:
-		cfg.EstimateShards = 1
-	case sc.EstimateShards > 0:
-		cfg.EstimateShards = sc.EstimateShards
-	}
 	cfg.ControlEnabled = sc.Control
 	if sc.CallBudgetUs > 0 {
 		cfg.CallBudgetUs = sc.CallBudgetUs
@@ -524,6 +503,13 @@ func runSim(sc Scenario, csvPath, snapPath string, ck checkpointOpts, reg *metri
 	cfg := controllerConfig(sc)
 	if ck.path != "" {
 		cfg.CheckpointEvery = ck.every
+	}
+	if _, faulty := h.(*platform.FaultyHost); faulty && cfg.MonitorWorkers == 0 {
+		// The fault host draws every decision from one seeded stream in
+		// call order, so concurrent monitor reads would fault different
+		// vCPUs from run to run. Auto resolves to serial reads to keep
+		// fault_seed runs replayable; an explicit pool size is honoured.
+		cfg.MonitorWorkers = 1
 	}
 	ctrl, err := core.New(h, cfg)
 	if err != nil {

@@ -12,12 +12,28 @@ import (
 )
 
 func TestExampleScenarioParses(t *testing.T) {
-	var sc Scenario
-	if err := json.Unmarshal([]byte(exampleScenario), &sc); err != nil {
+	sc, err := parseScenario([]byte(exampleScenario))
+	if err != nil {
 		t.Fatalf("example scenario invalid: %v", err)
 	}
 	if sc.Node != "chetemi" || len(sc.VMs) != 3 || !sc.Control {
 		t.Fatalf("example scenario content unexpected: %+v", sc)
+	}
+	// Unknown keys — a retired knob or a typo — are rejected by name
+	// instead of being dropped.
+	for _, key := range []string{"auction_shards", "contol"} {
+		raw := `{"node": "chetemi", "duration_s": 10, "` + key + `": 1, "vms": []}`
+		if _, err := parseScenario([]byte(raw)); err == nil || !strings.Contains(err.Error(), key) {
+			t.Fatalf("scenario with %q: err = %v, want an error naming the key", key, err)
+		}
+	}
+	for name, raw := range map[string]string{
+		"zero duration": `{"node": "chetemi", "vms": []}`,
+		"trailing data": `{"node": "chetemi", "duration_s": 10, "vms": []} {}`,
+	} {
+		if _, err := parseScenario([]byte(raw)); err == nil {
+			t.Fatalf("%s: scenario accepted", name)
+		}
 	}
 }
 
@@ -94,17 +110,6 @@ func TestControllerConfigOverrides(t *testing.T) {
 	def := controllerConfig(Scenario{})
 	if def.IncreaseTrigger != 0.95 || def.DecreaseFactor != 0.05 {
 		t.Fatalf("defaults lost: %+v", def)
-	}
-	// EstimateShards encoding: 0 defers to the core default (follow the
-	// auction partition), -1 forces serial, N forces N shards.
-	if def.EstimateShards != 0 {
-		t.Fatalf("EstimateShards default = %d, want 0 (follow auction)", def.EstimateShards)
-	}
-	if got := controllerConfig(Scenario{EstimateShards: -1}).EstimateShards; got != 1 {
-		t.Fatalf("EstimateShards(-1) = %d, want 1 (serial)", got)
-	}
-	if got := controllerConfig(Scenario{EstimateShards: 5}).EstimateShards; got != 5 {
-		t.Fatalf("EstimateShards(5) = %d, want 5", got)
 	}
 }
 

@@ -176,47 +176,38 @@ func BenchmarkApplyStage(b *testing.B) {
 	_ = rep
 }
 
-// BenchmarkAuctionSharded measures stage 4 across shard counts on a
-// 40-core host with buyers spread over the cores (the benchHost places
-// vCPU threads round-robin, and without a topology the core index
-// stands in for the NUMA node). Wallets are sized below demand so the
-// ledger split, the windowed shard rounds and the redistribution round
-// all run. shards=1 is the serial Algorithm 1 baseline.
-func BenchmarkAuctionSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.AuctionShards = shards
-			cfg.MonitorWorkers = 0 // GOMAXPROCS pool: shards run concurrently
-			c, err := New(newBenchHost(40, 2), cfg)
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkAuction measures stage 4, the serial Algorithm 1 pass, on a
+// 40-core host. Every iteration resets 80 buyers to the same shortfall
+// with wallets sized below demand, so the windowed rounds run until the
+// wallets, not the market, stop them.
+func BenchmarkAuction(b *testing.B) {
+	c, err := New(newBenchHost(40, 2), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := c.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vms := c.VMs()
+	reset := func() int64 {
+		var market int64 = 40 * 1_000_000
+		for _, vs := range vms {
+			vs.CreditUs = 300_000
+			for _, v := range vs.VCPUs {
+				v.CapUs = 300_000
+				v.EstUs = 500_000
+				market -= v.CapUs
 			}
-			for i := 0; i < 8; i++ {
-				if err := c.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			vms := c.VMs()
-			reset := func() int64 {
-				var market int64 = 40 * 1_000_000
-				for _, vs := range vms {
-					vs.CreditUs = 300_000
-					for _, v := range vs.VCPUs {
-						v.CapUs = 300_000
-						v.EstUs = 500_000
-						market -= v.CapUs
-					}
-				}
-				return market
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				market := reset()
-				c.auctionSharded(market)
-			}
-		})
+		}
+		return market
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		market := reset()
+		c.auction(market)
 	}
 }
 
@@ -272,40 +263,6 @@ func TestStepSkipsCleanWrites(t *testing.T) {
 	}
 }
 
-// TestStepShardedZeroAlloc is TestStepZeroAlloc with the whole
-// three-stage partition forced (estimate, enforce and auction all
-// sharded): the partition, the per-shard ledgers and the barrier merges
-// must reuse their scratch across Steps. MonitorWorkers = 1 keeps the
-// pools on their serial fallback, so goroutine spawns don't drown the
-// measurement.
-func TestStepShardedZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	cfg := DefaultConfig()
-	cfg.MonitorWorkers = 1
-	cfg.EstimateShards = 4
-	cfg.AuctionShards = 4
-	c, err := New(newBenchHost(20, 2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ArmMetrics(metrics.NewRegistry())
-	for i := 0; i < 8; i++ {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("sharded steady-state Step allocates %.1f/op, want 0", allocs)
-	}
-}
-
 // TestApplyStageBatchedZeroAlloc asserts the batched apply path — dirty
 // collection into the reused entry buffer, the batch call, the outcome
 // resolution — allocates nothing even when every quota is dirty.
@@ -348,35 +305,24 @@ func TestApplyStageBatchedZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEstimateEnforceSharded measures stages 2–3 (plus the barrier
-// merges and the market sum) across shard counts on the 40-core host.
-// shards=1 is the serial baseline; the benchHost reads are pure memory,
-// so the sharded runs show partition+merge overhead here and pay off as
-// the per-vCPU work grows.
-func BenchmarkEstimateEnforceSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.EstimateShards = shards
-			cfg.MonitorWorkers = 0 // GOMAXPROCS pool: shards run concurrently
-			c, err := New(newBenchHost(40, 2), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 8; i++ {
-				if err := c.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.partitionShards = 0
-				c.estimateStage()
-				c.enforceStage()
-				_ = c.marketStage()
-			}
-		})
+// BenchmarkEstimateEnforce measures stages 2–3 plus the Eq. 6 market
+// sum on the 40-core host.
+func BenchmarkEstimateEnforce(b *testing.B) {
+	c, err := New(newBenchHost(40, 2), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := c.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.estimateAll()
+		c.enforceBase()
+		_ = c.market()
 	}
 }
 

@@ -2,69 +2,92 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// Property: the auction conserves value — cycles bought equal credits
-// spent, the market shrinks by exactly the amount sold, and nobody buys
-// beyond their estimate.
+// Property: the auction (Algorithm 1) conserves value — cycles bought
+// equal credits spent, the market shrinks by exactly the amount sold,
+// no wallet is overdrawn, and every cap stays between its pre-auction
+// (Eq. 5) base and its estimate. The unbounded-wallet case
+// (CreditCapPeriods = 0) runs wallets near math.MaxInt64/4, where any
+// wallet × demand product would overflow int64; debits are therefore
+// summed per VM, never as wallet totals.
 func TestQuickAuctionConservation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := newFakeHost()
-		n := rng.Intn(5) + 1
-		for i := 0; i < n; i++ {
-			h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(2)+1, int64(rng.Intn(2000)+200))
-		}
-		c, err := New(h, DefaultConfig())
-		if err != nil {
-			return false
-		}
-		if err := c.Step(); err != nil {
-			return false
-		}
-		// Randomise the pre-auction state.
-		var capsBefore, creditsBefore int64
-		for _, st := range c.VMs() {
-			st.CreditUs = int64(rng.Intn(2_000_000))
-			creditsBefore += st.CreditUs
-			for _, v := range st.VCPUs {
-				v.CapUs = int64(rng.Intn(500_000))
-				v.EstUs = v.CapUs + int64(rng.Intn(500_000))
-				capsBefore += v.CapUs
-			}
-		}
-		market := int64(rng.Intn(2_000_000))
-		left := c.auction(market)
-		if left < 0 || left > market {
-			return false
-		}
-		var capsAfter, creditsAfter int64
-		for _, st := range c.VMs() {
-			if st.CreditUs < 0 {
-				return false
-			}
-			creditsAfter += st.CreditUs
-			for _, v := range st.VCPUs {
-				if v.CapUs > v.EstUs {
-					return false // bought beyond estimate
+	for _, tc := range []struct {
+		name      string
+		creditCap int64 // Config.CreditCapPeriods
+		wallet    func(*rand.Rand) int64
+	}{
+		{"bounded", DefaultConfig().CreditCapPeriods,
+			func(rng *rand.Rand) int64 { return int64(rng.Intn(2_000_000)) }},
+		{"unbounded-wallet", 0,
+			func(rng *rand.Rand) int64 { return math.MaxInt64/4 - rng.Int63n(1<<32) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				h := newFakeHost()
+				n := rng.Intn(5) + 1
+				for i := 0; i < n; i++ {
+					h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(3)+1, int64(rng.Intn(2000)+200))
 				}
-				capsAfter += v.CapUs
+				cfg := DefaultConfig()
+				cfg.CreditCapPeriods = tc.creditCap
+				c, err := New(h, cfg)
+				if err != nil {
+					return false
+				}
+				if err := c.Step(); err != nil {
+					return false
+				}
+				// Randomise the pre-auction state.
+				var capsBefore int64
+				wallets := map[*VMState]int64{}
+				base := map[*VCPUState]int64{}
+				for _, st := range c.VMs() {
+					st.CreditUs = tc.wallet(rng)
+					wallets[st] = st.CreditUs
+					for _, v := range st.VCPUs {
+						v.CapUs = int64(rng.Intn(500_000))
+						v.EstUs = v.CapUs + int64(rng.Intn(500_000))
+						base[v] = v.CapUs
+						capsBefore += v.CapUs
+					}
+				}
+				market := int64(rng.Intn(2_000_000))
+				left := c.auction(market)
+				if left < 0 || left > market {
+					return false
+				}
+				var capsAfter, debits int64
+				for _, st := range c.VMs() {
+					if st.CreditUs < 0 || st.CreditUs > wallets[st] {
+						return false // wallet overdrawn or credit minted
+					}
+					debits += wallets[st] - st.CreditUs
+					for _, v := range st.VCPUs {
+						if v.CapUs > v.EstUs {
+							return false // bought beyond estimate
+						}
+						if v.CapUs < base[v] {
+							return false // dropped below the Eq. 5 base
+						}
+						capsAfter += v.CapUs
+					}
+				}
+				sold := market - left
+				if capsAfter-capsBefore != sold {
+					return false // cycles created or destroyed
+				}
+				return debits == sold // credits charged = cycles sold
 			}
-		}
-		sold := market - left
-		if capsAfter-capsBefore != sold {
-			return false // cycles created or destroyed
-		}
-		if creditsBefore-creditsAfter != sold {
-			return false // credits charged ≠ cycles sold
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -120,96 +143,19 @@ func TestQuickDistributeConservation(t *testing.T) {
 	}
 }
 
-// Property: the sharded auction preserves the serial conservation
-// invariants at any shard count — Σ sold + leftover = market, wallet
-// debits equal cycles bought, no wallet goes negative, no cap exceeds
-// its estimate, and no cap drops below its pre-auction (Eq. 5) value —
-// even though buyers are partitioned by core placement and charged
-// through per-shard ledgers.
-func TestQuickAuctionShardedConservation(t *testing.T) {
+// Property: auction then distribute — the full stage 4 + 5 pipeline —
+// never leaks a cycle: every market cycle is either sold, given away, or
+// still unallocated at the end, and the distribution leaves no rounding
+// residue while demand remains.
+func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := newFakeHost()
-		h.node.Cores = 16
-		n := rng.Intn(5) + 1
-		for i := 0; i < n; i++ {
-			h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(3)+1, int64(rng.Intn(2000)+200))
-		}
-		cfg := DefaultConfig()
-		cfg.AuctionShards = rng.Intn(6) + 2 // 2..7 shards
-		c, err := New(h, cfg)
-		if err != nil {
-			return false
-		}
-		if err := c.Step(); err != nil {
-			return false
-		}
-		var capsBefore, creditsBefore int64
-		base := map[*VCPUState]int64{}
-		for _, st := range c.VMs() {
-			st.CreditUs = int64(rng.Intn(2_000_000))
-			creditsBefore += st.CreditUs
-			for _, v := range st.VCPUs {
-				v.CapUs = int64(rng.Intn(500_000))
-				v.EstUs = v.CapUs + int64(rng.Intn(500_000))
-				v.LastCore = rng.Intn(16)
-				base[v] = v.CapUs
-				capsBefore += v.CapUs
-			}
-		}
-		market := int64(rng.Intn(2_000_000))
-		left := c.auctionSharded(market)
-		if left < 0 || left > market {
-			return false
-		}
-		var capsAfter, creditsAfter int64
-		for _, st := range c.VMs() {
-			if st.CreditUs < 0 {
-				return false // a ledger overdrew the wallet
-			}
-			creditsAfter += st.CreditUs
-			for _, v := range st.VCPUs {
-				if v.CapUs > v.EstUs {
-					return false // bought beyond estimate
-				}
-				if v.CapUs < base[v] {
-					return false // dropped below the Eq. 5 base
-				}
-				capsAfter += v.CapUs
-			}
-		}
-		sold := market - left
-		if capsAfter-capsBefore != sold {
-			return false // cycles minted or leaked across the shards
-		}
-		if creditsBefore-creditsAfter != sold {
-			return false // wallet debits ≠ cycles bought
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: auction then distribute — the full stage 4 + 5 pipeline, in
-// both serial and sharded form — never leaks a cycle: every market cycle
-// is either sold, given away, or still unallocated at the end, and the
-// distribution leaves no rounding residue while demand remains.
-func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
-	f := func(seed int64, sharded bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := newFakeHost()
-		h.node.Cores = 16
 		n := rng.Intn(4) + 2
 		for i := 0; i < n; i++ {
 			h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(2)+1, int64(rng.Intn(2000)+200))
 		}
-		cfg := DefaultConfig()
-		if sharded {
-			cfg.AuctionShards = 4
-		}
-		c, err := New(h, cfg)
+		c, err := New(h, DefaultConfig())
 		if err != nil {
 			return false
 		}
@@ -222,13 +168,12 @@ func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
 			for _, v := range st.VCPUs {
 				v.CapUs = int64(rng.Intn(400_000))
 				v.EstUs = v.CapUs + int64(rng.Intn(400_000))
-				v.LastCore = rng.Intn(16)
 				capsBefore += v.CapUs
 				demand += v.EstUs - v.CapUs
 			}
 		}
 		market := int64(rng.Intn(2_000_000))
-		left := c.auctionSharded(market)
+		left := c.auction(market)
 		c.distribute(left)
 		var capsAfter int64
 		for _, st := range c.VMs() {
@@ -244,8 +189,8 @@ func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
 			want = demand
 		}
 		// Sold + given must equal the whole market while demand lasted:
-		// nothing stranded by the auction ledgers or the distribution's
-		// integer division.
+		// nothing stranded by the auction or the distribution's integer
+		// division.
 		return capsAfter-capsBefore == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -120,13 +120,6 @@ type Controller struct {
 	// StepReport; nil (the default) records nothing.
 	met *ctrlMetrics
 
-	// coreNode maps each logical CPU to its NUMA node, discovered once
-	// from the host's optional platform.Topology capability; nil when
-	// the host exposes none. numaNodes is the discovered node count
-	// (at least 1), the auto shard count of AuctionShards = 0.
-	coreNode  []int
-	numaNodes int
-
 	// batch is the host's optional BatchQuotaWriter capability, detected
 	// once at New; nil when the host writes quotas one vCPU at a time.
 	batch platform.BatchQuotaWriter
@@ -141,23 +134,14 @@ type Controller struct {
 	stepBudget time.Duration
 	backoffSeq atomic.Uint64
 
-	// partitionShards is the shard count of the stage 2–3 placement
-	// partition currently held in c.shards (0 = no valid partition).
-	// Set by partitionStages, cleared at the top of every runStages and
-	// whenever the auction re-partitions at a different count.
-	partitionShards int
-
 	// Reused per-Step scratch, so the steady-state control loop runs
 	// without heap allocations: the monitor read slots, the sync-stage
-	// seen set, the auction/distribution buyer list, the per-shard
-	// stage ledgers and the batched-apply entry buffer all keep their
-	// backing storage across Steps.
+	// seen set, the auction/distribution buyer list and the
+	// batched-apply entry buffer all keep their backing storage across
+	// Steps.
 	monSlots  []monitorSlot
 	seen      map[string]bool
 	buyersBuf []*VCPUState
-	shards    []*auctionShard
-	vmDemand  map[string]int64
-	vmWallet  map[string]int64
 	batchBuf  []platform.VCPUQuota
 }
 
@@ -171,26 +155,12 @@ func New(h platform.Host, cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("core: invalid node info %+v", node)
 	}
 	c := &Controller{
-		cfg:       cfg,
-		host:      h,
-		node:      node,
-		vms:       map[string]*VMState{},
-		numaNodes: 1,
+		cfg:  cfg,
+		host: h,
+		node: node,
+		vms:  map[string]*VMState{},
 	}
-	// NUMA topology is an optional capability; a host without one (or
-	// with an unreadable node tree) is treated as a single node, which
-	// keeps the auto shard count at 1 — the serial auction.
-	if topo, ok := h.(platform.Topology); ok {
-		if cn, err := topo.CoreNodes(); err == nil && len(cn) > 0 {
-			c.coreNode = cn
-			for _, n := range cn {
-				if n+1 > c.numaNodes {
-					c.numaNodes = n + 1
-				}
-			}
-		}
-	}
-	// Batched quota writing is an optional capability too; without it
+	// Batched quota writing is an optional capability; without it
 	// the apply stage falls back to one SetMax per dirty vCPU.
 	if bw, ok := h.(platform.BatchQuotaWriter); ok {
 		c.batch = bw
@@ -203,10 +173,6 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // Node returns the node description the controller operates on.
 func (c *Controller) Node() platform.NodeInfo { return c.node }
-
-// NUMANodes returns the number of NUMA nodes discovered from the host
-// topology (1 when the host exposes none).
-func (c *Controller) NUMANodes() int { return c.numaNodes }
 
 // Steps returns the number of completed control iterations.
 func (c *Controller) Steps() int64 { return c.steps }
@@ -562,10 +528,6 @@ func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
 			}
 		}
 	}()
-	// Placements are re-read below; whatever partition the last Step
-	// built no longer matches them.
-	c.partitionShards = 0
-
 	if err := c.syncVMs(rep); err != nil {
 		return err
 	}
@@ -577,18 +539,17 @@ func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
 	checkStage("monitor")
 
 	te := time.Now()
-	c.estimateStage()
+	c.estimateAll()
 	rep.Timings.Estimate = time.Since(te)
 	checkStage("estimate")
 
 	tf := time.Now()
-	c.enforceStage()
+	c.enforceBase()
 	rep.Timings.Enforce = time.Since(tf)
 	checkStage("enforce")
 
 	ta := time.Now()
-	market := c.marketStage()
-	market = c.auctionSharded(market)
+	market := c.auction(c.market())
 	rep.Timings.Auction = time.Since(ta)
 	checkStage("auction")
 

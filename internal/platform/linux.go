@@ -318,7 +318,7 @@ func (l *Linux) pruneVCPUs(live []VMInfo) {
 // CoreNodes implements Topology: core → NUMA node from the node<N>/
 // cpulist files. The scan runs once and is cached; a missing or
 // unreadable node tree degrades to a single-node topology rather than
-// failing, since sharding is an optimisation, not a correctness need.
+// failing, since the layout is informational, not a correctness need.
 func (l *Linux) CoreNodes() ([]int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -2,7 +2,7 @@
 // /sys/devices/system/cpu/cpu<N>/cpufreq/scaling_cur_freq (kHz) plus the
 // static scaling_min_freq, scaling_max_freq and scaling_governor files,
 // and the NUMA topology subset under /sys/devices/system/node
-// (node<N>/cpulist) the sharded auction partitions buyers with.
+// (node<N>/cpulist) behind platform.Topology.
 package sysfs
 
 import (

@@ -92,10 +92,6 @@ type Scenario struct {
 	// HostRetries overrides the in-step retry budget for failing host
 	// reads/writes (-1 disables retrying; 0 keeps the default).
 	HostRetries int `json:"host_retries,omitempty"`
-	// MonitorWorkers sizes the monitor stage's read pool (0 =
-	// GOMAXPROCS, or serial when fault injection is armed; 1 = serial).
-	// The -monitor-workers flag overrides it.
-	MonitorWorkers int `json:"monitor_workers,omitempty"`
 
 	// Robustness knobs (zero values keep the features off, matching
 	// core.DefaultConfig). CallBudgetUs bounds each host call;
@@ -159,8 +155,6 @@ func main() {
 	resume := flag.Bool("resume", false, "restore controller state from -checkpoint before the first period")
 	example := flag.Bool("example", false, "print an example scenario and exit")
 	linux := flag.Bool("linux", false, "drive the real host via cgroup v2 instead of the simulator")
-	monitorWorkers := flag.Int("monitor-workers", -1,
-		"monitor read-pool size (0 = GOMAXPROCS, serial under fault injection; 1 = serial; -1 defers to the scenario)")
 	stepWorkers := flag.Int("step-workers", -1,
 		"cluster step worker-pool size (0 = GOMAXPROCS, 1 = serial; -1 defers to the scenario; needs nodes >= 2)")
 	rebalanceEvery := flag.Int("rebalance-every", -1,
@@ -202,9 +196,6 @@ func main() {
 	}
 	if *resume && *ckptPath == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
-	}
-	if *monitorWorkers >= 0 {
-		sc.MonitorWorkers = *monitorWorkers
 	}
 	if *stepWorkers >= 0 {
 		sc.StepWorkers = *stepWorkers
@@ -404,7 +395,6 @@ func controllerConfig(sc Scenario) core.Config {
 	} else if sc.HostRetries < 0 {
 		cfg.HostRetries = 0
 	}
-	cfg.MonitorWorkers = sc.MonitorWorkers
 	cfg.ControlEnabled = sc.Control
 	if sc.CallBudgetUs > 0 {
 		cfg.CallBudgetUs = sc.CallBudgetUs
@@ -503,13 +493,6 @@ func runSim(sc Scenario, csvPath, snapPath string, ck checkpointOpts, reg *metri
 	cfg := controllerConfig(sc)
 	if ck.path != "" {
 		cfg.CheckpointEvery = ck.every
-	}
-	if _, faulty := h.(*platform.FaultyHost); faulty && cfg.MonitorWorkers == 0 {
-		// The fault host draws every decision from one seeded stream in
-		// call order, so concurrent monitor reads would fault different
-		// vCPUs from run to run. Auto resolves to serial reads to keep
-		// fault_seed runs replayable; an explicit pool size is honoured.
-		cfg.MonitorWorkers = 1
 	}
 	ctrl, err := core.New(h, cfg)
 	if err != nil {

@@ -21,7 +21,7 @@ func TestExampleScenarioParses(t *testing.T) {
 	}
 	// Unknown keys — a retired knob or a typo — are rejected by name
 	// instead of being dropped.
-	for _, key := range []string{"auction_shards", "contol"} {
+	for _, key := range []string{"auction_shards", "monitor_workers", "contol"} {
 		raw := `{"node": "chetemi", "duration_s": 10, "` + key + `": 1, "vms": []}`
 		if _, err := parseScenario([]byte(raw)); err == nil || !strings.Contains(err.Error(), key) {
 			t.Fatalf("scenario with %q: err = %v, want an error naming the key", key, err)

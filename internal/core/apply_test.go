@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"vfreq/internal/platform"
@@ -309,4 +310,15 @@ func TestApplyRewritesAfterCounterReset(t *testing.T) {
 	if h.applied == applied {
 		t.Fatal("no write-through after a usage counter reset")
 	}
+}
+
+// reportSummary renders the deterministic part of a StepReport (i.e.
+// everything except wall-clock timings).
+func reportSummary(rep StepReport) string {
+	s := fmt.Sprintf("%s retries=%d recovered=%d dropped=%d", rep.String(),
+		rep.Retries, rep.Recovered, rep.FaultsDropped)
+	for _, f := range rep.Faults {
+		s += "\n  " + f.Error()
+	}
+	return s
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"vfreq/internal/metrics"
@@ -45,9 +46,6 @@ func newBenchHost(vms, vcpus int) *benchHost {
 func (h *benchHost) Node() platform.NodeInfo             { return h.node }
 func (h *benchHost) ListVMs() ([]platform.VMInfo, error) { return h.infos, nil }
 
-// UsageUs is called concurrently by monitor workers, but always for
-// distinct flat indices (one worker owns one vCPU's reads), so the
-// element writes don't race.
 func (h *benchHost) UsageUs(vm string, j int) (int64, error) {
 	i := h.base[vm] + j
 	h.usage[i] += h.burn
@@ -65,10 +63,9 @@ func (h *benchHost) CoreFreqMHz(core int) (int64, error)      { return 2000, nil
 
 // benchController builds a controller over a benchHost and steps it past
 // warm-up so histories are full and the vCPU set is stable.
-func benchController(tb testing.TB, vms, vcpus, workers int) *Controller {
+func benchController(tb testing.TB, vms, vcpus int) *Controller {
 	tb.Helper()
 	cfg := DefaultConfig()
-	cfg.MonitorWorkers = workers
 	// The robustness layer runs armed in every benchmark and zero-alloc
 	// gate: per-call budget timing, backoff configuration and per-VM
 	// circuit breakers must all cost zero steady-state allocations (the
@@ -96,28 +93,50 @@ func benchController(tb testing.TB, vms, vcpus, workers int) *Controller {
 // TestStepZeroAlloc asserts the whole steady-state Step — sync, monitor,
 // estimate, enforce, auction, distribute, apply and the recovery
 // accounting — runs without a single heap allocation once the vCPU set
-// is stable (serial monitor; the worker pool spends a few goroutine
-// spawns when MonitorWorkers > 1).
+// is stable, at GOMAXPROCS 1 (AllocsPerRun) and 2.
 func TestStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := benchController(t, 20, 2, 1)
-	allocs := testing.AllocsPerRun(50, func() {
+	c := benchController(t, 20, 2)
+	step := func() {
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Fatalf("steady-state Step allocates %.1f/op, want 0", allocs)
 	}
+	if n := allocsPerRunAtTwoProcs(50, step); n != 0 {
+		t.Fatalf("steady-state Step at GOMAXPROCS=2 allocates %d/op, want 0", n)
+	}
+}
+
+// allocsPerRunAtTwoProcs is testing.AllocsPerRun with GOMAXPROCS raised
+// to 2 instead of pinned to 1, so it sees allocations that happen only
+// when the scheduler has a second P, such as a goroutine spawned to
+// spread work across CPUs. It runs step once to warm up, then returns
+// the runtime.MemStats.Mallocs delta over runs calls divided by runs.
+// As in AllocsPerRun, the division truncates: the counter is
+// process-wide, so a stray allocation on another goroutine is not
+// charged to the step. The previous GOMAXPROCS is restored on return.
+func allocsPerRunAtTwoProcs(runs int, step func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 func TestMonitorStageZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := benchController(t, 20, 2, 1)
+	c := benchController(t, 20, 2)
 	var rep StepReport
 	allocs := testing.AllocsPerRun(50, func() {
 		rep = StepReport{}
@@ -132,7 +151,7 @@ func TestApplyStageZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := benchController(t, 20, 2, 1)
+	c := benchController(t, 20, 2)
 	var rep StepReport
 	allocs := testing.AllocsPerRun(50, func() {
 		rep = StepReport{}
@@ -143,29 +162,24 @@ func TestApplyStageZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkMonitorStage measures stage 1 alone across worker counts (the
-// benchHost reads are pure memory, so workers > 1 shows pool overhead
-// here and pays off only on hosts with real I/O latency).
+// BenchmarkMonitorStage measures stage 1 alone: the four reads per vCPU
+// and their commit, on a host whose reads are pure memory.
 func BenchmarkMonitorStage(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c := benchController(b, 40, 2, workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var rep StepReport
-			for i := 0; i < b.N; i++ {
-				rep = StepReport{}
-				c.monitor(&rep)
-			}
-			_ = rep
-		})
+	c := benchController(b, 40, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rep StepReport
+	for i := 0; i < b.N; i++ {
+		rep = StepReport{}
+		c.monitor(&rep)
 	}
+	_ = rep
 }
 
 // BenchmarkApplyStage measures stage 6 alone: quota computation plus the
 // host writes.
 func BenchmarkApplyStage(b *testing.B) {
-	c := benchController(b, 40, 2, 1)
+	c := benchController(b, 40, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var rep StepReport
@@ -214,17 +228,13 @@ func BenchmarkAuction(b *testing.B) {
 // BenchmarkSteadyStep measures the full six-stage Step on the zero-alloc
 // host — the controller's own cost with the platform out of the picture.
 func BenchmarkSteadyStep(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c := benchController(b, 40, 2, workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c := benchController(b, 40, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -250,7 +260,7 @@ func (h *batchBenchHost) BatchSetMax(vm string, quotas []platform.VCPUQuota) err
 // the benchHost consumption is constant, so once the estimates settle a
 // full Step must issue zero SetMax calls.
 func TestStepSkipsCleanWrites(t *testing.T) {
-	c := benchController(t, 20, 2, 1)
+	c := benchController(t, 20, 2)
 	h := c.host.(*benchHost)
 	sets := h.sets
 	for i := 0; i < 5; i++ {
@@ -271,9 +281,7 @@ func TestApplyStageBatchedZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	h := &batchBenchHost{benchHost: newBenchHost(20, 2)}
-	cfg := DefaultConfig()
-	cfg.MonitorWorkers = 1
-	c, err := New(h, cfg)
+	c, err := New(h, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,9 +339,7 @@ func BenchmarkEstimateEnforce(b *testing.B) {
 // (all clean, zero writes) is what BenchmarkApplyStage now measures.
 func BenchmarkApplyStageBatched(b *testing.B) {
 	h := &batchBenchHost{benchHost: newBenchHost(40, 2)}
-	cfg := DefaultConfig()
-	cfg.MonitorWorkers = 1
-	c, err := New(h, cfg)
+	c, err := New(h, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

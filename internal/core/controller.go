@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -128,18 +126,16 @@ type Controller struct {
 	// set at the top of runStages, they bound every retry-backoff sleep
 	// so backoff can never push the Step past its watchdog. Outside a
 	// Step (construction, restore) the window is closed and backoff
-	// does not sleep. backoffSeq numbers the jitter draws; an atomic so
-	// concurrent monitor workers never contend or race on it.
+	// does not sleep. backoffSeq numbers the jitter draws, one per
+	// retry sleep, so every draw is distinct.
 	stepT0     time.Time
 	stepBudget time.Duration
 	backoffSeq atomic.Uint64
 
 	// Reused per-Step scratch, so the steady-state control loop runs
-	// without heap allocations: the monitor read slots, the sync-stage
-	// seen set, the auction/distribution buyer list and the
-	// batched-apply entry buffer all keep their backing storage across
-	// Steps.
-	monSlots  []monitorSlot
+	// without heap allocations: the sync-stage seen set, the
+	// auction/distribution buyer list and the batched-apply entry buffer
+	// all keep their backing storage across Steps.
 	seen      map[string]bool
 	buyersBuf []*VCPUState
 	batchBuf  []platform.VCPUQuota
@@ -567,19 +563,17 @@ func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
 	return nil
 }
 
-// monitorSlot carries one vCPU's raw host readings from the (possibly
-// concurrent) read pass of the monitor stage to its sequential commit
-// pass. Each worker owns exactly the slots it was handed, so the slots
-// need no locking.
+// monitorSlot carries one vCPU's raw host readings from the read half
+// of the monitor stage to its commit half, so a vCPU whose reads fail
+// part-way leaves its bookkeeping untouched.
 type monitorSlot struct {
-	v       *VCPUState
-	usage   int64
-	freq    int64
-	tid     int
-	core    int
-	retries int
-	op      string
-	err     error
+	v     *VCPUState
+	usage int64
+	freq  int64
+	tid   int
+	core  int
+	op    string
+	err   error
 }
 
 // monitor implements stage 1: read consumption deltas, thread placement
@@ -587,20 +581,14 @@ type monitorSlot struct {
 // estimate. The thread location is read once per iteration, as discussed
 // in §III-B1 of the paper.
 //
-// The stage is split in two passes. The read pass performs the four host
-// reads per vCPU and may fan out across Config.MonitorWorkers goroutines
-// (the reads are I/O-bound syscalls on a real host, so this is where the
-// paper's 4-of-5 ms monitoring budget goes). The commit pass then applies
-// the readings to the controller state strictly in registration order on
-// the stepping goroutine, so histories, degradation accounting and report
-// contents are bit-identical no matter how the reads were scheduled.
-//
-// The reads of one vCPU commit atomically: when any of them fails (after
-// the configured retries) the vCPU keeps its previous bookkeeping and is
-// marked degraded for this Step, so a later successful read observes one
-// consistent cumulative delta instead of a half-updated state.
+// The stage is one pass over the vCPUs in registration order. Each vCPU's
+// four host reads land in a stack-local slot first and are then
+// committed, so the reads of one vCPU commit atomically: when any of them
+// fails (after the configured retries) the vCPU keeps its previous
+// bookkeeping and is marked degraded for this Step, and a later
+// successful read observes one consistent cumulative delta instead of a
+// half-updated state.
 func (c *Controller) monitor(rep *StepReport) {
-	slots := c.monSlots[:0]
 	for _, name := range c.order {
 		st := c.vms[name]
 		if st.Breaker.State == BreakerOpen {
@@ -610,197 +598,56 @@ func (c *Controller) monitor(rep *StepReport) {
 			continue
 		}
 		for _, v := range st.VCPUs {
-			slots = append(slots, monitorSlot{v: v})
+			s := monitorSlot{v: v}
+			c.readVCPU(rep, &s)
+			c.commitVCPU(rep, &s)
 		}
-	}
-	c.monSlots = slots
-
-	workers := c.cfg.MonitorWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(slots) {
-		workers = len(slots)
-	}
-	if workers <= 1 {
-		for i := range slots {
-			c.readVCPU(&slots[i])
-		}
-	} else {
-		// A separate method keeps the goroutine closure out of this
-		// function, so the serial path stays allocation-free (a closure
-		// capturing slots would force the slice header to the heap).
-		c.readParallel(slots, workers)
-	}
-
-	for i := range slots {
-		c.commitVCPU(rep, &slots[i])
-		slots[i].v = nil // don't pin departed VMs through the reused buffer
 	}
 }
 
-// readParallel fans readVCPU over a pool of worker goroutines pulling
-// slot indices from a shared atomic counter. The goroutines are
-// per-Step rather than a persistent pool: the controller has no
-// shutdown hook, and the spawn cost is dwarfed by the syscalls the
-// workers exist to overlap.
-//
-// A panic inside a worker would crash the process before the Step
-// watchdog's recover could see it, so each worker catches its panic and
-// readParallel re-raises one on the stepping goroutine — restoring the
-// exact degraded-step semantics of the serial stage.
-func (c *Controller) readParallel(slots []monitorSlot, workers int) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var panicked any
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(slots) {
-					return
-				}
-				c.readVCPU(&slots[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
-// readVCPU performs one vCPU's four host reads, with bounded in-step
-// retry, into its slot. This is the only part of the monitor stage that
-// may run concurrently; it touches nothing but the slot, the atomic
-// backoff sequence and the (read-only) host. Each read is timed against
-// Config.CallBudgetUs (a slow success fails the vCPU instead of
-// stalling the step) and each retry waits the jittered backoff. The
-// explicit loops instead of withRetry keep the hot path closure-free
-// and therefore allocation-free.
-func (c *Controller) readVCPU(s *monitorSlot) {
+// readVCPU performs one vCPU's four host reads into its slot, each with
+// withRetry's bounded in-step retry and timed against
+// Config.CallBudgetUs (a slow success fails the vCPU instead of stalling
+// the step). The first read that still fails ends the vCPU's reads and
+// names the failing operation in the slot.
+func (c *Controller) readVCPU(rep *StepReport, s *monitorSlot) {
 	v := s.v
-	tries := c.cfg.HostRetries + 1
-
-	ok := false
-	for a := 0; a < tries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
+	if s.err = c.withRetry(rep, func() (err error) {
 		t := c.callStart()
-		u, err := c.host.UsageUs(v.VM, v.Index)
-		if err = c.budgeted(t, err); err == nil {
-			s.usage = u
-			if a > 0 {
-				s.retries++
-			}
-			ok = true
-			break
-		}
-		s.err = err
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if !ok {
+		s.usage, err = c.host.UsageUs(v.VM, v.Index)
+		return c.budgeted(t, err)
+	}); s.err != nil {
 		s.op = "usage"
 		return
 	}
-
-	ok = false
-	for a := 0; a < tries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
+	if s.err = c.withRetry(rep, func() (err error) {
 		t := c.callStart()
-		tid, err := c.host.ThreadID(v.VM, v.Index)
-		if err = c.budgeted(t, err); err == nil {
-			s.tid = tid
-			if a > 0 {
-				s.retries++
-			}
-			ok = true
-			break
-		}
-		s.err = err
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if !ok {
+		s.tid, err = c.host.ThreadID(v.VM, v.Index)
+		return c.budgeted(t, err)
+	}); s.err != nil {
 		s.op = "tid"
 		return
 	}
-
-	ok = false
-	for a := 0; a < tries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
+	if s.err = c.withRetry(rep, func() (err error) {
 		t := c.callStart()
-		core, err := c.host.LastCPU(s.tid)
-		if err = c.budgeted(t, err); err == nil {
-			s.core = core
-			if a > 0 {
-				s.retries++
-			}
-			ok = true
-			break
-		}
-		s.err = err
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if !ok {
+		s.core, err = c.host.LastCPU(s.tid)
+		return c.budgeted(t, err)
+	}); s.err != nil {
 		s.op = "lastcpu"
 		return
 	}
-
-	ok = false
-	for a := 0; a < tries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
+	if s.err = c.withRetry(rep, func() (err error) {
 		t := c.callStart()
-		freq, err := c.host.CoreFreqMHz(s.core)
-		if err = c.budgeted(t, err); err == nil {
-			s.freq = freq
-			if a > 0 {
-				s.retries++
-			}
-			ok = true
-			break
-		}
-		s.err = err
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if !ok {
+		s.freq, err = c.host.CoreFreqMHz(s.core)
+		return c.budgeted(t, err)
+	}); s.err != nil {
 		s.op = "freq"
-		return
 	}
-	s.err = nil
 }
 
-// commitVCPU applies one slot's readings to the controller state. Commits
-// run in registration order on the stepping goroutine only.
+// commitVCPU applies one slot's readings to the controller state.
 func (c *Controller) commitVCPU(rep *StepReport, s *monitorSlot) {
 	v := s.v
-	rep.Retries += s.retries
 	if s.err != nil {
 		v.Degraded = true
 		v.FailedSteps++

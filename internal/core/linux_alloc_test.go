@@ -93,19 +93,22 @@ func (fx *linuxFixture) tick(t testing.TB) {
 // TestLinuxStepZeroAlloc is TestStepZeroAlloc over the real Linux
 // backend: with DefaultConfig and usage advancing every period, a
 // steady-state Step — the VM listing, every cgroup/proc/sys read and the
-// quota writes included — makes no heap allocation. AllocsPerRun pins
-// GOMAXPROCS to 1, so the monitor stage reads serially here at any -cpu.
+// quota writes included — makes no heap allocation, at GOMAXPROCS 1
+// (AllocsPerRun) and 2.
 func TestLinuxStepZeroAlloc(t *testing.T) {
 	fx := newLinuxFixture(t, 24, 16)
 	c, err := New(fx.host, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	step := func() {
 		fx.tick(t)
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 10; i++ {
+		step()
 	}
 	if n := len(c.VMs()); n != 24 {
 		t.Fatalf("controller tracks %d VMs, want 24", n)
@@ -113,13 +116,10 @@ func TestLinuxStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		fx.tick(t)
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Fatalf("steady-state Step over platform.Linux allocates %.1f/op, want 0", allocs)
+	}
+	if n := allocsPerRunAtTwoProcs(50, step); n != 0 {
+		t.Fatalf("steady-state Step over platform.Linux at GOMAXPROCS=2 allocates %d/op, want 0", n)
 	}
 }

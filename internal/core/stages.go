@@ -240,27 +240,10 @@ func (c *Controller) apply(rep *StepReport) {
 			}
 			quota := c.quotaFor(v)
 			if !(v.appliedQuotaOK && v.appliedQuotaUs == quota && v.appliedPeriodUs == c.cfg.CgroupPeriodUs) {
-				// Explicit retry loops instead of withRetry: the closure a
-				// per-vCPU capture would need escapes to the heap, and apply
-				// is part of the allocation-free steady-state path.
-				var err error
-				for a := 0; a <= c.cfg.HostRetries; a++ {
-					if a > 0 {
-						c.backoffSleep(a)
-					}
+				if err := c.withRetry(rep, func() error {
 					t := c.callStart()
-					err = c.budgeted(t, c.host.SetMax(v.VM, v.Index, quota, c.cfg.CgroupPeriodUs))
-					if err == nil {
-						if a > 0 {
-							rep.Retries++
-						}
-						break
-					}
-					if err == ErrCallBudget {
-						break
-					}
-				}
-				if err != nil {
+					return c.budgeted(t, c.host.SetMax(v.VM, v.Index, quota, c.cfg.CgroupPeriodUs))
+				}); err != nil {
 					v.invalidateApplied()
 					v.Degraded = true
 					v.FailedSteps++
@@ -286,24 +269,10 @@ func (c *Controller) applyBurst(rep *StepReport, v *VCPUState, quota int64) {
 	if v.appliedBurstOK && v.appliedBurstUs == burst {
 		return
 	}
-	var err error
-	for a := 0; a <= c.cfg.HostRetries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
+	if err := c.withRetry(rep, func() error {
 		t := c.callStart()
-		err = c.budgeted(t, c.host.SetBurst(v.VM, v.Index, burst))
-		if err == nil {
-			if a > 0 {
-				rep.Retries++
-			}
-			break
-		}
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if err != nil {
+		return c.budgeted(t, c.host.SetBurst(v.VM, v.Index, burst))
+	}); err != nil {
 		v.invalidateApplied()
 		v.Degraded = true
 		v.FailedSteps++

@@ -3,7 +3,6 @@ package platform
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,8 +29,7 @@ import (
 // path construction, no open/close churn and no heap allocation. A
 // failed read or write closes and drops the descriptor, and the next
 // call reopens the path — which is how cgroup recreation on VM restart
-// is picked up. All methods are safe for concurrent use by the monitor
-// worker pool.
+// is picked up. All methods are safe for concurrent use.
 //
 // ListVMs keeps the CgroupRoot directory and every scope directory open
 // the same way. Each call rewinds them and reads their entries into one
@@ -156,12 +154,12 @@ type vcpuFiles struct {
 
 // handle is one kept-open file plus its scratch buffer. Reads pread at
 // offset zero, so no seek position is shared; the mutex serialises the
-// buffer between monitor workers (two vCPUs that last ran on the same
-// core read the same scaling_cur_freq handle concurrently).
+// buffer between concurrent callers.
 type handle struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
+	fd   int // f's descriptor while f is open for reading (see fdOf)
 	buf  [512]byte
 }
 
@@ -174,10 +172,10 @@ func (h *handle) read() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.f = f
+		h.f, h.fd = f, fdOf(f)
 	}
-	n, err := h.f.ReadAt(h.buf[:], 0)
-	if err != nil && err != io.EOF {
+	n, err := preadOnce(h.f, h.fd, h.buf[:])
+	if err != nil {
 		h.f.Close()
 		h.f = nil
 		return nil, err

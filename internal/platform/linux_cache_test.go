@@ -70,9 +70,9 @@ func TestLinuxReopensAfterError(t *testing.T) {
 }
 
 // TestLinuxConcurrentReads hammers the shared handles (same core's
-// scaling_cur_freq, both vCPUs' files) from many goroutines, the access
-// pattern of the monitor worker pool. Run under -race it proves the
-// per-handle locking.
+// scaling_cur_freq, both vCPUs' files) from many goroutines. Run under
+// -race it proves the per-handle locking that keeps a Linux host safe
+// for concurrent use.
 func TestLinuxConcurrentReads(t *testing.T) {
 	l := fixtureHost(t)
 	var wg sync.WaitGroup

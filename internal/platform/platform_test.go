@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -147,5 +148,65 @@ func TestLinuxBackendOnRealHost(t *testing.T) {
 	}
 	if _, err := l.ListVMs(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSimPathMemoBoundedUnderChurn provisions and destroys a uniquely
+// named VM per cycle next to two long-lived ones, reading every vCPU in
+// between as the monitor stage would. Without pruning each cycle leaves
+// two vCPU path entries and two thread path entries behind; ListVMs must
+// keep both memos within memoLimit of the live vCPU count, and the live
+// VMs must still read after a prune.
+func TestSimPathMemoBoundedUnderChurn(t *testing.T) {
+	s, mgr := newSim(t)
+	busy := func() []workload.Source { return []workload.Source{workload.Busy(), workload.Busy()} }
+	for _, name := range []string{"keep-a", "keep-b"} {
+		if _, err := mgr.Provision(name, vm.Small(), busy()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAll := func(vms []VMInfo) {
+		t.Helper()
+		for _, v := range vms {
+			for j := 0; j < v.VCPUs; j++ {
+				if _, err := s.UsageUs(v.Name, j); err != nil {
+					t.Fatal(err)
+				}
+				tid, err := s.ThreadID(v.Name, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.LastCPU(tid); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	const cycles = 200
+	for i := 0; i < cycles; i++ {
+		name := fmt.Sprintf("churn-%03d", i)
+		if _, err := mgr.Provision(name, vm.Small(), busy()); err != nil {
+			t.Fatal(err)
+		}
+		vms, err := s.ListVMs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(vms)
+		if err := mgr.Destroy(name); err != nil {
+			t.Fatal(err)
+		}
+		vms, err = s.ListVMs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := memoLimit(4)
+		if n, m := len(s.vcpuPaths), len(s.tidPaths); n > limit || m > limit {
+			t.Fatalf("cycle %d: memos hold %d vCPU and %d thread paths, limit %d", i, n, m, limit)
+		}
+		readAll(vms)
+	}
+	if 2*cycles <= memoLimit(4) {
+		t.Fatalf("%d cycles never cross the memo limit %d; the test lost its teeth", cycles, memoLimit(4))
 	}
 }

@@ -17,9 +17,11 @@ import (
 // The per-period read path is allocation-free at steady state: pseudo-file
 // paths are memoised (they are pure functions of VM name, vCPU index, tid
 // or core), file contents are rendered append-style into pooled buffers,
-// and the byte parsers walk them in place. Monitor workers read distinct
-// vCPUs concurrently, so the memo maps are RWMutex-guarded and buffers
-// come from a sync.Pool.
+// and the byte parsers walk them in place. The memo maps are
+// RWMutex-guarded and buffers come from a sync.Pool, so a Sim is safe
+// for concurrent use. ListVMs prunes the memos once they outgrow the
+// live vCPU set (see memoLimit), so VM churn cannot grow them without
+// bound.
 type Sim struct {
 	mgr *vm.Manager
 
@@ -66,9 +68,15 @@ func NewSim(mgr *vm.Manager) *Sim {
 	return s
 }
 
+// memoLimit is the size past which ListVMs prunes a path memo: twice the
+// live vCPU count plus a floor, so a run without churn never reaches it
+// and its reads stay allocation-free.
+func memoLimit(liveVCPUs int) int { return 2*liveVCPUs + 64 }
+
 // files returns the memoised pseudo-file paths of a vCPU cgroup. Paths
-// are pure functions of (vm, vcpu), so entries are never invalidated —
-// a re-provisioned VM of the same name reuses them.
+// are pure functions of (vm, vcpu), so entries are never stale — a
+// re-provisioned VM of the same name reuses them — and are dropped only
+// when ListVMs prunes a departed VM's.
 func (s *Sim) files(vmName string, vcpu int) *simVCPUFiles {
 	k := vcpuKey{vm: vmName, vcpu: vcpu}
 	s.mu.RLock()
@@ -127,12 +135,36 @@ func (s *Sim) Node() NodeInfo {
 func (s *Sim) ListVMs() ([]VMInfo, error) {
 	insts := s.mgr.List()
 	out := s.vmScratch[:0]
+	live := 0
 	for _, inst := range insts {
 		t := inst.Template()
 		out = append(out, VMInfo{Name: inst.Name(), VCPUs: t.VCPUs, FreqMHz: t.FreqMHz})
+		live += t.VCPUs
 	}
 	s.vmScratch = out
+	s.pruneMemos(live)
 	return out, nil
+}
+
+// pruneMemos drops memo entries that no live vCPU can need once a memo
+// exceeds memoLimit. vCPU paths of departed VMs (or of vCPUs a
+// reconfiguration removed) are deleted; the thread memo is cleared
+// outright, since thread ids are never reused and the live vCPUs'
+// entries are rebuilt on their next read.
+func (s *Sim) pruneMemos(liveVCPUs int) {
+	limit := memoLimit(liveVCPUs)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.vcpuPaths) > limit {
+		for k := range s.vcpuPaths {
+			if inst := s.mgr.Get(k.vm); inst == nil || k.vcpu >= inst.Template().VCPUs {
+				delete(s.vcpuPaths, k)
+			}
+		}
+	}
+	if len(s.tidPaths) > limit {
+		clear(s.tidPaths)
+	}
 }
 
 // UsageUs implements Host.

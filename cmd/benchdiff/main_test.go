@@ -114,7 +114,7 @@ func TestMissingGatedBenchmark(t *testing.T) {
 // TestCommittedBaselineOtherEntries runs the CI cluster gate's pattern
 // against the committed BENCH_8.json: a run producing only the
 // ClusterScale results must not trip on the file's other entries, while
-// widening the pattern to the stale AuctionSharded entries must.
+// widening the pattern to the DynamicCluster entries must.
 func TestCommittedBaselineOtherEntries(t *testing.T) {
 	prev, err := load("../../BENCH_8.json")
 	if err != nil {
@@ -127,9 +127,9 @@ func TestCommittedBaselineOtherEntries(t *testing.T) {
 	if gone, err := missing(prev, cur, "ClusterScale"); err != nil || len(gone) != 0 {
 		t.Fatalf("-bench ClusterScale: missing = %v, %v; want none", gone, err)
 	}
-	gone, err := missing(prev, cur, "ClusterScale|AuctionSharded")
-	if err != nil || len(gone) != 4 {
-		t.Fatalf("-bench ClusterScale|AuctionSharded: missing = %v, %v; want the 4 AuctionSharded entries", gone, err)
+	gone, err := missing(prev, cur, "ClusterScale|DynamicCluster")
+	if err != nil || len(gone) != 2 {
+		t.Fatalf("-bench ClusterScale|DynamicCluster: missing = %v, %v; want the 2 DynamicCluster entries", gone, err)
 	}
 }
 

@@ -4,6 +4,16 @@
 // Files may hold static content or be backed by callbacks so that reads
 // always observe the live state of the simulation (as reads of real kernel
 // pseudo-files do). Paths use forward slashes and are rooted at "/".
+//
+// Reads and writes resolve their path through a lazy index: a map from
+// clean paths to the file nodes a ReadFile, ReadFileAppend or WriteFile
+// has already found by walking the tree, so a repeated access skips
+// path cleaning and the per-segment walk. The index holds only nodes
+// that are in the tree at exactly their key: every operation that
+// detaches a node (Remove, RemoveAll, Rename's moved subtree and the
+// target it replaces) first drops the index entries of that subtree. A
+// hit is therefore always the node the walk would find, and the index
+// pins nothing that has left the tree.
 package memfs
 
 import (
@@ -51,6 +61,8 @@ type node struct {
 	read       ReadFunc
 	readAppend ReadAppendFunc
 	write      WriteFunc
+	// key is the index key of a file node, "" while it is not indexed.
+	key string
 }
 
 // dynamic reports whether the node's reads run a callback.
@@ -67,6 +79,7 @@ type FS struct {
 	mu    sync.RWMutex
 	root  *node
 	fault FaultFunc
+	index map[string]*node // clean path → file node, see the package doc
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault hook consulted
@@ -77,20 +90,12 @@ func (fs *FS) SetFaultHook(fn FaultFunc) {
 	fs.mu.Unlock()
 }
 
-// checkFault runs the fault hook for one access.
-func (fs *FS) checkFault(op, p string) error {
-	fs.mu.RLock()
-	fn := fs.fault
-	fs.mu.RUnlock()
-	if fn == nil {
-		return nil
-	}
-	return fn(op, clean(p))
-}
-
 // New returns an empty filesystem containing only the root directory.
 func New() *FS {
-	return &FS{root: &node{name: "/", dir: true, children: map[string]*node{}}}
+	return &FS{
+		root:  &node{name: "/", dir: true, children: map[string]*node{}},
+		index: map[string]*node{},
+	}
 }
 
 // clean normalises p to an absolute slash-separated path.
@@ -137,6 +142,85 @@ func (fs *FS) lookup(p string) (*node, error) {
 		cur = next
 	}
 	return cur, nil
+}
+
+// fileLocked resolves p, whose clean form is cp, to a file node: from
+// the index, or by walking the tree, in which case an already-clean p is
+// indexed. The caller holds fs.mu for writing.
+func (fs *FS) fileLocked(p, cp string) (*node, error) {
+	if n := fs.index[cp]; n != nil {
+		return n, nil
+	}
+	n, err := fs.lookup(p)
+	if err != nil {
+		return nil, err
+	}
+	if n.dir {
+		return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
+	}
+	if p == cp {
+		n.key = cp
+		fs.index[cp] = n
+	}
+	return n, nil
+}
+
+// unindexLocked drops the index entries of the subtree rooted at n,
+// which the caller, holding fs.mu for writing, is about to detach.
+func (fs *FS) unindexLocked(n *node) {
+	if n.key != "" {
+		delete(fs.index, n.key)
+		n.key = ""
+	}
+	for _, c := range n.children {
+		fs.unindexLocked(c)
+	}
+}
+
+// fileView is a file node's read side, copied under the lock so the
+// read itself can run outside it.
+type fileView struct {
+	read       ReadFunc
+	readAppend ReadAppendFunc
+	content    string
+}
+
+func (n *node) view() fileView {
+	return fileView{read: n.read, readAppend: n.readAppend, content: n.content}
+}
+
+// openRead resolves p for a read. An index hit costs one read lock,
+// under which the fault hook is fetched too, and runs the hook with p,
+// which is clean. A miss cleans p, runs the hook with the clean path and
+// then walks the tree, so a hook error takes precedence over a lookup
+// error as it always has.
+func (fs *FS) openRead(p string) (fileView, error) {
+	fs.mu.RLock()
+	fn := fs.fault
+	if n := fs.index[p]; n != nil {
+		v := n.view()
+		fs.mu.RUnlock()
+		if fn != nil {
+			if err := fn("read", p); err != nil {
+				return fileView{}, err
+			}
+		}
+		return v, nil
+	}
+	fs.mu.RUnlock()
+	cp := clean(p)
+	if fn != nil {
+		if err := fn("read", cp); err != nil {
+			return fileView{}, err
+		}
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.fileLocked(p, cp)
+	if err != nil {
+		return fileView{}, err
+	}
+	return n.view(), nil
 }
 
 // Mkdir creates a directory. Parent directories must already exist.
@@ -233,32 +317,19 @@ func (fs *FS) addNode(p string, n *node) error {
 
 // ReadFile returns the current content of the file at p.
 func (fs *FS) ReadFile(p string) (string, error) {
-	if err := fs.checkFault("read", p); err != nil {
-		return "", err
-	}
-	fs.mu.RLock()
-	n, err := fs.lookup(p)
+	v, err := fs.openRead(p)
 	if err != nil {
-		fs.mu.RUnlock()
 		return "", err
 	}
-	if n.dir {
-		fs.mu.RUnlock()
-		return "", fmt.Errorf("%w: %s", ErrIsDir, p)
-	}
-	read := n.read
-	readAppend := n.readAppend
-	content := n.content
-	fs.mu.RUnlock()
 	// Dynamic reads run outside the lock: the callback may consult
 	// simulation state that itself mutates the filesystem.
-	if read != nil {
-		return read(), nil
+	if v.read != nil {
+		return v.read(), nil
 	}
-	if readAppend != nil {
-		return string(readAppend(nil)), nil
+	if v.readAppend != nil {
+		return string(v.readAppend(nil)), nil
 	}
-	return content, nil
+	return v.content, nil
 }
 
 // ReadFileAppend appends the current content of the file at p to buf and
@@ -267,46 +338,40 @@ func (fs *FS) ReadFile(p string) (string, error) {
 // capacity performs no heap allocation; other files fall back to the
 // string content. Fault hooks fire exactly as for ReadFile.
 func (fs *FS) ReadFileAppend(p string, buf []byte) ([]byte, error) {
-	if err := fs.checkFault("read", p); err != nil {
-		return buf, err
-	}
-	fs.mu.RLock()
-	n, err := fs.lookup(p)
+	v, err := fs.openRead(p)
 	if err != nil {
-		fs.mu.RUnlock()
 		return buf, err
 	}
-	if n.dir {
-		fs.mu.RUnlock()
-		return buf, fmt.Errorf("%w: %s", ErrIsDir, p)
+	if v.readAppend != nil {
+		return v.readAppend(buf), nil
 	}
-	read := n.read
-	readAppend := n.readAppend
-	content := n.content
-	fs.mu.RUnlock()
-	if readAppend != nil {
-		return readAppend(buf), nil
+	if v.read != nil {
+		return append(buf, v.read()...), nil
 	}
-	if read != nil {
-		return append(buf, read()...), nil
-	}
-	return append(buf, content...), nil
+	return append(buf, v.content...), nil
 }
 
-// WriteFile writes data to the file at p.
+// WriteFile writes data to the file at p. Like a read, it runs the fault
+// hook with the clean path first, and it cleans p only if the index does
+// not hold it.
 func (fs *FS) WriteFile(p, data string) error {
-	if err := fs.checkFault("write", p); err != nil {
-		return err
+	fs.mu.RLock()
+	fn, hit := fs.fault, fs.index[p] != nil
+	fs.mu.RUnlock()
+	cp := p
+	if !hit {
+		cp = clean(p)
+	}
+	if fn != nil {
+		if err := fn("write", cp); err != nil {
+			return err
+		}
 	}
 	fs.mu.Lock()
-	n, err := fs.lookup(p)
+	n, err := fs.fileLocked(p, cp)
 	if err != nil {
 		fs.mu.Unlock()
 		return err
-	}
-	if n.dir {
-		fs.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrIsDir, p)
 	}
 	if n.dynamic() {
 		w := n.write
@@ -357,9 +422,14 @@ func (fs *FS) Rename(oldp, newp string) error {
 	if !newParent.dir {
 		return ErrNotDir
 	}
-	if dst, ok := newParent.children[path.Base(newp)]; ok && dst.dir {
+	dst, ok := newParent.children[path.Base(newp)]
+	if ok && dst.dir {
 		return fmt.Errorf("%w: %s", ErrIsDir, newp)
 	}
+	if ok {
+		fs.unindexLocked(dst)
+	}
+	fs.unindexLocked(n)
 	delete(oldParent.children, path.Base(oldp))
 	n.name = path.Base(newp)
 	newParent.children[n.name] = n
@@ -386,6 +456,7 @@ func (fs *FS) Remove(p string) error {
 	if n.dir && len(n.children) > 0 {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, p)
 	}
+	fs.unindexLocked(n)
 	delete(parent.children, name)
 	return nil
 }
@@ -397,6 +468,7 @@ func (fs *FS) RemoveAll(p string) error {
 	defer fs.mu.Unlock()
 	p = clean(p)
 	if p == "/" {
+		clear(fs.index)
 		fs.root.children = map[string]*node{}
 		return nil
 	}
@@ -404,7 +476,11 @@ func (fs *FS) RemoveAll(p string) error {
 	if err != nil {
 		return nil
 	}
-	delete(parent.children, path.Base(p))
+	name := path.Base(p)
+	if n, ok := parent.children[name]; ok {
+		fs.unindexLocked(n)
+		delete(parent.children, name)
+	}
 	return nil
 }
 

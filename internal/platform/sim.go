@@ -16,12 +16,14 @@ import (
 //
 // The per-period read path is allocation-free at steady state: pseudo-file
 // paths are memoised (they are pure functions of VM name, vCPU index, tid
-// or core), file contents are rendered append-style into pooled buffers,
-// and the byte parsers walk them in place. The memo maps are
-// RWMutex-guarded and buffers come from a sync.Pool, so a Sim is safe
-// for concurrent use. ListVMs prunes the memos once they outgrow the
-// live vCPU set (see memoLimit), so VM churn cannot grow them without
-// bound.
+// or core), so memfs resolves each from its path index; file contents are
+// rendered append-style into one scratch buffer the Sim owns, and the
+// byte parsers walk it in place. The controller issues a Sim's reads
+// serially, so the buffer is held under bufMu for one read at a time
+// rather than drawn from a pool that a GC would empty. The memo maps are
+// RWMutex-guarded, so a Sim is safe for concurrent use. ListVMs prunes
+// the memos once they outgrow the live vCPU set (see memoLimit), so VM
+// churn cannot grow them without bound.
 type Sim struct {
 	mgr *vm.Manager
 
@@ -30,7 +32,8 @@ type Sim struct {
 	tidPaths  map[int]string
 	corePaths []string
 
-	bufs sync.Pool // *[]byte read buffers
+	bufMu sync.Mutex
+	buf   []byte // read scratch, guarded by bufMu
 
 	vmScratch []VMInfo // ListVMs result, reused across calls
 }
@@ -54,16 +57,12 @@ func NewSim(mgr *vm.Manager) *Sim {
 		mgr:       mgr,
 		vcpuPaths: make(map[vcpuKey]*simVCPUFiles),
 		tidPaths:  make(map[int]string),
+		buf:       make([]byte, 0, 256),
 	}
 	cores := mgr.Machine().Spec().Cores
 	s.corePaths = make([]string, cores)
 	for c := 0; c < cores; c++ {
 		s.corePaths[c] = sysfs.CurFreqPath(sysfs.Mount, c)
-	}
-	s.bufs.New = func() any {
-		p := new([]byte)
-		*p = make([]byte, 0, 256)
-		return p
 	}
 	return s
 }
@@ -117,11 +116,13 @@ func (s *Sim) tidPath(tid int) string {
 	return p
 }
 
-func (s *Sim) getBuf() *[]byte { return s.bufs.Get().(*[]byte) }
-
-func (s *Sim) putBuf(p *[]byte, buf []byte) {
-	*p = buf[:0]
-	s.bufs.Put(p)
+// readLocked renders the pseudo-file at p into the scratch buffer, which
+// keeps any capacity the render grew. The caller holds bufMu until it has
+// parsed the returned bytes.
+func (s *Sim) readLocked(p string) ([]byte, error) {
+	content, err := s.mgr.Machine().FS.ReadFileAppend(p, s.buf[:0])
+	s.buf = content[:0]
+	return content, err
 }
 
 // Node implements Host.
@@ -169,15 +170,14 @@ func (s *Sim) pruneMemos(liveVCPUs int) {
 
 // UsageUs implements Host.
 func (s *Sim) UsageUs(vmName string, vcpu int) (int64, error) {
-	p := s.getBuf()
-	content, err := s.mgr.Machine().FS.ReadFileAppend(s.files(vmName, vcpu).stat, (*p)[:0])
+	path := s.files(vmName, vcpu).stat
+	s.bufMu.Lock()
+	defer s.bufMu.Unlock()
+	content, err := s.readLocked(path)
 	if err != nil {
-		s.putBuf(p, content)
 		return 0, fmt.Errorf("platform: reading cpu.stat of %s/vcpu%d: %w", vmName, vcpu, err)
 	}
-	v, err := cgroupfs.ParseCPUStatBytes(content, "usage_usec")
-	s.putBuf(p, content)
-	return v, err
+	return cgroupfs.ParseCPUStatBytes(content, "usage_usec")
 }
 
 // SetMax implements Host.
@@ -231,14 +231,15 @@ func (s *Sim) SetBurst(vmName string, vcpu int, burstUs int64) error {
 
 // ThreadID implements Host.
 func (s *Sim) ThreadID(vmName string, vcpu int) (int, error) {
-	p := s.getBuf()
-	content, err := s.mgr.Machine().FS.ReadFileAppend(s.files(vmName, vcpu).threads, (*p)[:0])
+	path := s.files(vmName, vcpu).threads
+	s.bufMu.Lock()
+	content, err := s.readLocked(path)
 	if err != nil {
-		s.putBuf(p, content)
+		s.bufMu.Unlock()
 		return 0, err
 	}
 	tid, n, err := cgroupfs.ParseSingleTID(content)
-	s.putBuf(p, content)
+	s.bufMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -251,15 +252,14 @@ func (s *Sim) ThreadID(vmName string, vcpu int) (int, error) {
 
 // LastCPU implements Host.
 func (s *Sim) LastCPU(tid int) (int, error) {
-	p := s.getBuf()
-	line, err := s.mgr.Machine().FS.ReadFileAppend(s.tidPath(tid), (*p)[:0])
+	path := s.tidPath(tid)
+	s.bufMu.Lock()
+	defer s.bufMu.Unlock()
+	line, err := s.readLocked(path)
 	if err != nil {
-		s.putBuf(p, line)
 		return 0, err
 	}
-	cpu, err := procfs.ParseStatLastCPUBytes(line)
-	s.putBuf(p, line)
-	return cpu, err
+	return procfs.ParseStatLastCPUBytes(line)
 }
 
 // CoreNodes implements Topology: it reads the emulated
@@ -300,14 +300,14 @@ func (s *Sim) CoreFreqMHz(core int) (int64, error) {
 	if core < 0 || core >= len(s.corePaths) {
 		return 0, fmt.Errorf("platform: core %d out of range", core)
 	}
-	p := s.getBuf()
-	content, err := s.mgr.Machine().FS.ReadFileAppend(s.corePaths[core], (*p)[:0])
+	s.bufMu.Lock()
+	content, err := s.readLocked(s.corePaths[core])
 	if err != nil {
-		s.putBuf(p, content)
+		s.bufMu.Unlock()
 		return 0, err
 	}
 	khz, err := sysfs.ParseKHzBytes(content)
-	s.putBuf(p, content)
+	s.bufMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
